@@ -1,8 +1,7 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.{StringType, StructField, StructType}
-import repro.lake.SourceTable
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.{Operators, Similarity}
 
 /** Small in-memory string table — the execution substrate for the
   * Auto-Pipeline* and Ver baselines.
@@ -84,51 +83,16 @@ final case class MemTable(cols: Vector[String], rows: Vector[Vector[String]]) {
 object MemTable {
 
   def fromDf(df: DataFrame, rowCap: Int): Option[MemTable] = {
-    val capped = df.limit(rowCap + 1).collect()
-    if (capped.length > rowCap) None
-    else Some(MemTable(
-      df.columns.toVector,
-      capped.toVector.map(r =>
-        df.columns.indices.map(i => Option(r.get(i)).map(_.toString).orNull).toVector)))
+    val capped = Operators.collectRows(df.limit(rowCap + 1))
+    if (capped.length > rowCap) None else Some(MemTable(df.columns.toVector, capped))
   }
 
-  def toDf(t: MemTable, spark: SparkSession): DataFrame = {
-    val schema = StructType(t.cols.map(c => StructField(c, StringType, nullable = true)))
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(t.rows.map(Row.fromSeq(_)), 1), schema)
-  }
+  def toDf(t: MemTable, spark: SparkSession): DataFrame = Operators.localDf(spark, t.cols, t.rows)
 
-  /** In-memory EIS against a source MemTable — same semantics as
-    * [[repro.core.Similarity.eis]], used to score search states cheaply.
+  /** In-memory EIS against a source MemTable, with the alignment
+    * kernel of [[repro.core.Similarity]]; used to score search states
+    * cheaply.
     */
-  def eis(t: MemTable, source: MemTable, keys: Seq[String]): Double = {
-    val nk = source.cols.filterNot(keys.contains)
-    val n = math.max(1, nk.size)
-    if (source.rows.isEmpty) return 1.0
-    val sKeyIdx = keys.map(source.cols.indexOf).toVector
-    val sNkIdx = nk.map(source.cols.indexOf).toVector
-    val tPadded = t.padTo(source.cols)
-    val tKeyIdx = keys.map(tPadded.cols.indexOf).toVector
-    val tNkIdx = nk.map(tPadded.cols.indexOf).toVector
-    val byKey = tPadded.rows.groupBy(r => tKeyIdx.map(r))
-    val sum = source.rows.map { s =>
-      val k = sKeyIdx.map(s)
-      if (k.contains(null)) 0.0
-      else byKey.get(k) match {
-        case None => 0.0
-        case Some(ts) =>
-          val best = ts.map { tr =>
-            var alpha = 0; var delta = 0
-            nk.indices.foreach { i =>
-              val sv = s(sNkIdx(i)); val tv = tr(tNkIdx(i))
-              if (sv == tv) alpha += 1
-              else if (tv != null) delta += 1
-            }
-            alpha - delta
-          }.max
-          1.0 + best.toDouble / n
-      }
-    }.sum
-    0.5 * sum / source.rows.size
-  }
+  def eis(t: MemTable, source: MemTable, keys: Seq[String]): Double =
+    Similarity.align(source.cols, keys, source.rows, t.padTo(source.cols).rows).eis
 }

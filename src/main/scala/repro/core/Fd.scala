@@ -1,8 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{StringType, StructField, StructType}
+import org.apache.spark.sql.DataFrame
 import scala.collection.mutable
 
 /** Full Disjunction (Galindo-Legaria) — the integration substrate of the
@@ -77,18 +75,9 @@ object Fd {
   def fullDisjunction(dfs: Seq[DataFrame], cfg: Config = Config()): Option[DataFrame] = {
     require(dfs.nonEmpty)
     val unioned = Operators.outerUnionAll(dfs)
-    val sp = unioned.sparkSession
-    val cols = unioned.columns.toIndexedSeq
     if (unioned.limit(cfg.rowCap + 1).count() > cfg.rowCap) return None
-    val rows: Seq[Seq[String]] = unioned.collect().toIndexedSeq.map { r =>
-      cols.indices.map(i => Option(r.get(i)).map(_.toString).orNull)
-    }
-    closure(rows, cfg).map { closed =>
-      val schema = StructType(cols.map(c => StructField(c, StringType, nullable = true)))
-      val out = sp.createDataFrame(
-        sp.sparkContext.parallelize(closed.map(s => Row.fromSeq(s)), math.max(1, closed.size / 5000 + 1)),
-        schema)
-      out.select(cols.map(col): _*)
+    closure(Operators.collectRows(unioned), cfg).map { closed =>
+      Operators.localDf(unioned.sparkSession, unioned.columns.toIndexedSeq, closed)
     }
   }
 }

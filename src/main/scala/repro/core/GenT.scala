@@ -11,10 +11,6 @@ import repro.lake.{SourceTable, TableRepo}
   */
 object GenT {
 
-  final case class Config(
-      setSim: SetSimilarity.Config = SetSimilarity.Config(),
-      matrix: MatrixTraversal.Config = MatrixTraversal.Config())
-
   final case class Result(
       reclaimed: DataFrame,
       candidates: Seq[String],
@@ -63,11 +59,10 @@ object GenT {
       repo: TableRepo,
       index: DataFrame,
       source: SourceTable,
-      spark: SparkSession,
-      cfg: Config = Config()): Result = {
+      spark: SparkSession): Result = {
     // --- Table Discovery: Set Similarity (Algorithms 3–4).
-    val candidates = SetSimilarity.findCandidates(repo, index, source, spark, cfg.setSim)
-    reclaimFromCandidates(repo, candidates, source, spark, cfg)
+    val candidates = SetSimilarity.findCandidates(repo, index, source, spark)
+    reclaimFromCandidates(repo, candidates, source, spark)
   }
 
   /** Gen-T from an already-discovered candidate set (lets the harness
@@ -78,8 +73,7 @@ object GenT {
       repo: TableRepo,
       candidates: Seq[SetSimilarity.Candidate],
       source: SourceTable,
-      spark: SparkSession,
-      cfg: Config = Config()): Result = {
+      spark: SparkSession): Result = {
     val t0 = System.nanoTime()
     val renamed = candidates.map(c => c.table -> SetSimilarity.renamed(repo, c))
 
@@ -90,32 +84,33 @@ object GenT {
 
     // Select early: every downstream table only needs rows aligned to the
     // source keys, so prune candidates to aligned rows where the key is
-    // present (a distributed semi-join) before Expand/matrix work.
+    // present (a distributed semi-join) before Expand/matrix work. The
+    // caches live only for this call: Integration returns driver-held rows.
     val pruned = renamed.map { case (n, df) =>
       n -> Operators.selectSourceKeys(df, source).cache()
     }
+    try {
+      // --- Expand (Algorithm 5): give every candidate the source key.
+      val weights = expandWeights(pruned)
+      val expanded = Expand.expandAll(pruned, source, weights)
+        .map(e => e.copy(df = Operators.projectSelect(e.df, source)))
 
-    // --- Expand (Algorithm 5): give every candidate the source key.
-    val weights = expandWeights(pruned)
-    val expanded = Expand.expandAll(pruned, source, weights)
-      .map(e => e.copy(df = Operators.projectSelect(e.df, source)))
+      if (expanded.isEmpty) {
+        return Result(source.df.limit(0), candidates.map(_.table), Seq.empty,
+          (System.nanoTime() - t0) / 1000000)
+      }
 
-    if (expanded.isEmpty) {
-      return Result(source.df.limit(0), candidates.map(_.table), Seq.empty,
+      // --- Matrix Traversal (Algorithm 1): prune to originating tables.
+      val matrices = MatrixTraversal.initMatrices(expanded, source)
+      val nSourceRows = source.df.count()
+      val picked = MatrixTraversal.traverse(matrices, nSourceRows, source.nonKeyColumns.size)
+      val origTables = expanded.filter(e => picked.contains(e.name))
+
+      // --- Table Reclamation (Algorithm 2).
+      val reclaimed = Integration.integrate(origTables.map(_.df), source)
+
+      Result(reclaimed, candidates.map(_.table), picked,
         (System.nanoTime() - t0) / 1000000)
-    }
-
-    // --- Matrix Traversal (Algorithm 1): prune to originating tables.
-    val matrices = MatrixTraversal.initMatrices(expanded, source, cfg.matrix)
-    val nSourceRows = source.df.count()
-    val picked = MatrixTraversal.traverse(
-      matrices, nSourceRows, source.nonKeyColumns.size, cfg.matrix)
-    val origTables = expanded.filter(e => picked.contains(e.name))
-
-    // --- Table Reclamation (Algorithm 2).
-    val reclaimed = Integration.integrate(origTables.map(_.df), source)
-
-    Result(reclaimed, candidates.map(_.table), picked,
-      (System.nanoTime() - t0) / 1000000)
+    } finally pruned.foreach(_._2.unpersist())
   }
 }

@@ -1,19 +1,21 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.lake.SourceTable
 
 /** Evaluation metrics of §VI-A2 and Appendix E.
   *
   *   - Recall/Precision derived from ALITE's Tuple Difference Ratio:
   *     `Rec = |S∩Ŝ|/|S|`, `Pre = |S∩Ŝ|/|Ŝ|` with set semantics over full
-  *     rows on S's schema (Spark's INTERSECT is null-safe + distinct).
+  *     rows on S's schema (null-safe, distinct).
   *   - Instance Divergence = 1 − instance similarity (Eq. 2).
   *   - Conditional KL-divergence (Eqs. 11–12) with ε-smoothing so the
   *     score is finite; erroneous values are penalized harder than nulls
   *     through the (1 − Q(¬x|k)) factor. Reported value is averaged per
   *     non-key column and divided by Q(K) = fraction of source keys found.
+  *
+  * All scores come from one [[Similarity.Alignment]]: one collect of
+  * each side.
   */
 object Metrics {
 
@@ -22,14 +24,14 @@ object Metrics {
     */
   val Eps = 1e-3
 
-  /** Sentinel reported when the reclaimed table shares no key with S. */
-  val KlNoKeys = 1e6
-
+  /** @param kl conditional KL; None when the output shares no key with
+    *           the source (Q(K) = 0 leaves it undefined).
+    */
   final case class Scores(
       recall: Double,
       precision: Double,
       instDiv: Double,
-      kl: Double,
+      kl: Option[Double],
       eis: Double,
       outputCells: Long,
       sourceCells: Long) {
@@ -37,76 +39,57 @@ object Metrics {
     def sizeRatio: Double = if (sourceCells == 0) 0 else outputCells.toDouble / sourceCells
   }
 
-  def recallPrecision(reclaimed: DataFrame, source: SourceTable): (Double, Double) = {
-    val r = Operators.padToSourceSchema(reclaimed, source).distinct()
-    val s = source.df.distinct()
-    val inter = s.intersect(r).count().toDouble
-    val sN = s.count(); val rN = r.count()
-    (if (sN == 0) 1.0 else inter / sN, if (rN == 0) 0.0 else inter / rN)
+  private def recallPrecision(a: Similarity.Alignment): (Double, Double) = {
+    val s = a.source.distinct; val r = a.table.distinct.toSet
+    val inter = s.count(r.contains).toDouble
+    (if (s.isEmpty) 1.0 else inter / s.size, if (r.isEmpty) 0.0 else inter / r.size)
   }
+
+  def recallPrecision(reclaimed: DataFrame, source: SourceTable): (Double, Double) =
+    recallPrecision(Similarity.align(reclaimed, source))
 
   def instanceDivergence(reclaimed: DataFrame, source: SourceTable): Double =
     1.0 - Similarity.instanceSimilarity(reclaimed, source)
 
-  /** Conditional KL-divergence of the reclaimed table w.r.t. the source. */
-  def conditionalKl(reclaimed: DataFrame, source: SourceTable): Double = {
-    val nk = source.nonKeyColumns
-    if (nk.isEmpty) return 0.0
-    val r = Operators.padToSourceSchema(reclaimed, source)
-    val rA = r.select(r.columns.map(c => col(c).as(s"r_$c")).toIndexedSeq: _*)
-    val joinCond = source.keys.map(k => col(k) === col(s"r_$k")).reduce(_ && _)
-    val joined = source.df.join(rA, joinCond, "inner")
-    if (joined.isEmpty) return KlNoKeys
-
-    // Per key and column: Q(x|k) = fraction of aligned tuples carrying the
-    // source value, Q(¬x|k) = fraction carrying a different non-null value.
-    val perKey = joined
-      .groupBy(source.keys.map(col): _*)
-      .agg(
-        nk.flatMap { c =>
-          Seq(
-            avg((col(c) <=> col(s"r_$c")).cast("double")).as(s"q1_$c"),
-            avg((col(s"r_$c").isNotNull && !(col(c) <=> col(s"r_$c"))).cast("double"))
-              .as(s"qe_$c"))
-        }.head,
-        nk.flatMap { c =>
-          Seq(
-            avg((col(c) <=> col(s"r_$c")).cast("double")).as(s"q1_$c"),
-            avg((col(s"r_$c").isNotNull && !(col(c) <=> col(s"r_$c"))).cast("double"))
-              .as(s"qe_$c"))
-        }.tail: _*)
-
-    val terms = nk.map { c =>
-      (-(log(greatest(col(s"q1_$c"), lit(Eps))) +
-        log(greatest(lit(1.0) - col(s"qe_$c"), lit(Eps))))).as(s"t_$c")
+  /** Conditional KL from the aligned codes. Per matched source tuple and
+    * column: Q(x|k) = share of aligned tuples carrying the source value
+    * (code 1), Q(¬x|k) = share carrying a different non-null value (−1).
+    */
+  private def conditionalKl(a: Similarity.Alignment): Option[Double] = {
+    val nk = a.nonKey.size
+    val matched = a.aligned.filter(_.nonEmpty)
+    if (nk == 0) Some(0.0)
+    else if (matched.isEmpty) None
+    else {
+      def share(rows: Seq[Vector[Int]], j: Int, c: Int) = rows.count(_(j) == c).toDouble / rows.size
+      val sumCols = (0 until nk).map { j =>
+        // 0.0 − …, not −(…): a perfect column scores 0.0, not −0.0.
+        matched.map { rows =>
+          0.0 - math.log(math.max(share(rows, j, 1), Eps)) -
+            math.log(math.max(1.0 - share(rows, j, -1), Eps))
+        }.sum / matched.size
+      }.sum
+      val qK = matched.size.toDouble / a.source.size
+      Some(sumCols / (qK * nk))
     }
-    val row = perKey.select(terms: _*)
-      .agg(nk.map(c => avg(col(s"t_$c")).as(s"a_$c")).head,
-           nk.map(c => avg(col(s"t_$c")).as(s"a_$c")).tail: _*)
-      .collect()(0)
-    val sumCols = nk.indices.map(i => if (row.isNullAt(i)) 0.0 else row.getDouble(i)).sum
-
-    val matchedKeys = perKey.count().toDouble
-    val totalKeys = source.df.select(source.keys.map(col): _*).distinct().count().toDouble
-    val qK = if (totalKeys == 0) 1.0 else matchedKeys / totalKeys
-    if (qK <= 0) KlNoKeys else sumCols / (qK * nk.size)
   }
+
+  /** Conditional KL-divergence of the reclaimed table w.r.t. the source;
+    * NaN when no source key is matched.
+    */
+  def conditionalKl(reclaimed: DataFrame, source: SourceTable): Double =
+    conditionalKl(Similarity.align(reclaimed, source)).getOrElse(Double.NaN)
 
   /** All scores of §VI-A2 for one (source, reclaimed) pair. */
   def all(reclaimed: DataFrame, source: SourceTable): Scores = {
-    val cached = Operators.padToSourceSchema(reclaimed, source).cache()
-    try {
-      val (rec, pre) = recallPrecision(cached, source)
-      val instDiv = instanceDivergence(cached, source)
-      val kl = conditionalKl(cached, source)
-      val eisScore = Similarity.eis(cached, source)
-      val outCells = cached.count() * cached.columns.length
-      val srcCells = source.df.count() * source.df.columns.length
-      Scores(rec, pre, instDiv, kl, eisScore, outCells, srcCells)
-    } finally cached.unpersist()
+    val a = Similarity.align(reclaimed, source)
+    val (rec, pre) = recallPrecision(a)
+    val width = source.df.columns.length.toLong
+    Scores(rec, pre, 1.0 - a.instanceSimilarity, conditionalKl(a), a.eis,
+      a.table.size * width, a.source.size * width)
   }
 
   /** Scores for a method that produced no output (timeout / empty). */
   def empty(source: SourceTable): Scores =
-    Scores(0.0, 0.0, 1.0, KlNoKeys, 0.0, 0L, source.df.count() * source.df.columns.length)
+    Scores(0.0, 0.0, 1.0, None, 0.0, 0L, source.df.count() * source.df.columns.length)
 }

@@ -1,20 +1,23 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{StringType, StructField, StructType}
 import repro.lake.SourceTable
+import scala.jdk.CollectionConverters._
 
 /** The paper's integration operators (§IV-B): Outer Union (⊎), Inner
   * Union (∪), Projection (π), Selection (σ), Subsumption (β), and
   * Complementation (κ).
   *
-  * β and κ are pairwise tuple operators. Two tuples can only subsume or
-  * complement each other if they agree on every attribute where both are
-  * non-null — so once every tuple carries a non-null source-key value
-  * (guaranteed after ProjectSelect/Expand), grouping by the key is exact
-  * and turns the quadratic pairwise scan into small per-key closures run
-  * inside `groupByKey.flatMapGroups`. The generic (key-free) variants
-  * needed by the ALITE baseline live in [[Fd]].
+  * ⊎, π and σ are DataFrame transformations. β and κ are pairwise tuple
+  * operators. Two tuples can only subsume or complement each other if
+  * they agree on every attribute where both are non-null — so once every
+  * tuple carries a non-null source-key value (guaranteed after
+  * ProjectSelect/Expand), grouping by the key is exact and turns the
+  * quadratic pairwise scan into small per-key closures ([[perKey]]),
+  * which Integration runs on the driver over collected rows. The generic
+  * (key-free) variants needed by the ALITE baseline live in [[Fd]].
   */
 object Operators {
 
@@ -111,75 +114,65 @@ object Operators {
   /** Apply κ within a small in-memory group: repeatedly replace a
     * complementing pair with its merge until none remain.
     */
-  private[core] def complementGroup(rows: Seq[Seq[String]]): Seq[Seq[String]] = {
-    var cur = rows.distinct.toBuffer
-    var changed = true
-    while (changed) {
-      changed = false
-      var i = 0
-      while (i < cur.length && !changed) {
-        var j = i + 1
-        while (j < cur.length && !changed) {
-          if (complement(cur(i), cur(j))) {
-            val m = merge(cur(i), cur(j))
-            cur.remove(j); cur.remove(i)
-            if (!cur.contains(m)) cur.append(m)
-            changed = true
-          }
-          j += 1
-        }
-        i += 1
-      }
+  private[core] def complementGroup(rows: Seq[Seq[String]]): Seq[Seq[String]] =
+    pairwiseFixpoint(rows) { (a, b) => if (complement(a, b)) Some(merge(a, b)) else None }
+
+  /** TakeMinimalForm of Algorithm 2, line 6, on one key group: dedupe + β
+    * + κ (the paper's "remove duplicate tuples, subsumed tuples (β), and
+    * take the resulting tuples of complementation (κ)").
+    */
+  private[core] def minimalForm(rows: Seq[Seq[String]]): Seq[Seq[String]] =
+    subsumeGroup(complementGroup(subsumeGroup(rows)))
+
+  /** Pairwise merge to a fixpoint, shared by κ and Matrix Traversal's
+    * Combine(): starting from the distinct rows, take the first pair
+    * (i < j, scanning i then j) that `mergePair` merges, remove both,
+    * append the merge unless already present, and rescan from the start
+    * until no pair merges.
+    */
+  def pairwiseFixpoint[A](rows: Seq[A])(mergePair: (A, A) => Option[A]): Seq[A] = {
+    val cur = rows.distinct.toBuffer
+    def firstMerge: Option[(Int, Int, A)] =
+      cur.indices.iterator.flatMap { i =>
+        (i + 1 until cur.length).iterator.flatMap(j => mergePair(cur(i), cur(j)).map(m => (i, j, m)))
+      }.nextOption()
+    var next = firstMerge
+    while (next.isDefined) {
+      val (i, j, m) = next.get
+      cur.remove(j); cur.remove(i)
+      if (!cur.contains(m)) cur.append(m)
+      next = firstMerge
     }
     cur.toSeq
   }
 
-  // ---------------------------------------------------------------------
-  // Key-grouped distributed operators
-  // ---------------------------------------------------------------------
-
-  /** Run `f` over the rows of each source-key group of `df`. Rows with a
-    * null in any key column pass through untouched (they cannot be
-    * grouped; in the Gen-T pipeline they do not occur post-ProjectSelect).
+  /** Run `f` over the rows of each key group (rows sharing the values at
+    * `keyIdx`): groups in order of first appearance, rows in input order.
+    * β and κ only act within a key group: once every tuple carries its
+    * non-null source key (after ProjectSelect/Expand), two tuples can only
+    * subsume or complement each other if they share it.
     */
-  private def perKeyGroup(df: DataFrame, keys: Seq[String])(
-      f: Seq[Seq[String]] => Seq[Seq[String]]): DataFrame = {
-    val sp = df.sparkSession
-    import sp.implicits._
-    val cols = df.columns.toIndexedSeq
-    val keyIdx = keys.map(cols.indexOf).toIndexedSeq
-    require(keyIdx.forall(_ >= 0), s"keys $keys missing from ${cols}")
-
-    val keyed = df.filter(keys.map(col(_).isNotNull).reduce(_ && _))
-    val unkeyed = df.filter(keys.map(col(_).isNull).reduce(_ || _))
-
-    val ds = keyed.map { r =>
-      cols.indices.map(i => Option(r.get(i)).map(_.toString).orNull): Seq[String]
-    }
-    val out = ds
-      .groupByKey(row => keyIdx.map(row).mkString("\u0001"))
-      .flatMapGroups((_, it) => f(it.toSeq).iterator)
-      .toDF("r")
-    val rebuilt = out.select(cols.zipWithIndex.map { case (c, i) =>
-      element_at(col("r"), i + 1).as(c)
-    }: _*)
-    if (unkeyed.isEmpty) rebuilt else rebuilt.unionByName(unkeyed)
+  def perKey(rows: Seq[Seq[String]], keyIdx: Seq[Int])(
+      f: Seq[Seq[String]] => Seq[Seq[String]]): Seq[Seq[String]] = {
+    val groups = rows.groupBy(r => keyIdx.map(r))
+    rows.map(r => keyIdx.map(r)).distinct.flatMap(k => f(groups(k)))
   }
 
-  /** Subsumption (β): drop duplicate and subsumed tuples, per key group. */
-  def subsumption(df: DataFrame, keys: Seq[String]): DataFrame =
-    perKeyGroup(df, keys)(subsumeGroup)
+  // ---------------------------------------------------------------------
+  // Driver-side tables
+  // ---------------------------------------------------------------------
 
-  /** Complementation (κ): fixpoint pairwise complementation per key group. */
-  def complementation(df: DataFrame, keys: Seq[String]): DataFrame =
-    perKeyGroup(df, keys)(complementGroup)
+  /** Collect `df` as string rows (null = ⊥). */
+  def collectRows(df: DataFrame): Vector[Vector[String]] = {
+    val n = df.columns.length
+    df.collect().toVector.map(r => Vector.tabulate(n)(i => Option(r.get(i)).map(_.toString).orNull))
+  }
 
-  /** TakeMinimalForm of Algorithm 2, line 6: dedupe + β + κ in one grouped
-    * pass (the paper's "remove duplicate tuples, subsumed tuples (β), and
-    * take the resulting tuples of complementation (κ)").
-    */
-  def minimalForm(df: DataFrame, keys: Seq[String]): DataFrame =
-    perKeyGroup(df, keys)(rows => subsumeGroup(complementGroup(subsumeGroup(rows))))
+  /** A local (driver-held) string-typed DataFrame. */
+  def localDf(spark: SparkSession, cols: Seq[String], rows: Seq[Seq[String]]): DataFrame = {
+    val schema = StructType(cols.map(c => StructField(c, StringType, nullable = true)))
+    spark.createDataFrame(rows.map(Row.fromSeq).asJava, schema)
+  }
 
   /** Pad `df` with null columns for every source column it lacks, then
     * order columns as in the source (Algorithm 2, lines 15–16).

@@ -2,7 +2,7 @@ package repro.discovery
 
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.core.Operators
+import repro.core.{Operators, Similarity}
 import repro.lake.SourceTable
 
 /** Matrix Traversal (paper §V-A2/V-A3, Algorithm 1).
@@ -36,15 +36,16 @@ object MatrixTraversal {
   /** Alignment matrix: source-key string → aligned code rows. */
   final case class Matrix(rows: Map[String, Seq[CodeRow]])
 
-  final case class Config(rowsPerKeyCap: Int = 20, rowsPerKeyCombinedCap: Int = 40)
+  /** Aligned rows kept per (table, key) at init, and per key after Combine(). */
+  private val RowsPerKeyCap = 20
+  private val RowsPerKeyCombinedCap = 40
 
   private val KeySep = ""
 
   /** Initialize every candidate's matrix in one distributed pass. */
   def initMatrices(
       tables: Seq[Expand.Expanded],
-      source: SourceTable,
-      cfg: Config = Config()): Map[String, Matrix] = {
+      source: SourceTable): Map[String, Matrix] = {
     if (tables.isEmpty) return Map.empty
     val nk = source.nonKeyColumns
     val tagged = tables.map { t =>
@@ -57,6 +58,7 @@ object MatrixTraversal {
     val joinCond = source.keys.map(k => col(k) === col(s"r_$k")).reduce(_ && _)
     val joined = source.df.join(rA, joinCond, "inner")
 
+    // Eq. (4), as Similarity.code; a property test pins the two together.
     val codes = nk.map { c =>
       when(col(c) <=> col(s"r_$c"), 1)
         .when(col(c).isNotNull && col(s"r_$c").isNull, 0)
@@ -70,7 +72,7 @@ object MatrixTraversal {
     val capped = coded
       .withColumn("__rn", row_number().over(
         Window.partitionBy("__tbl", "__key").orderBy(col("__alpha").desc)))
-      .where(col("__rn") <= cfg.rowsPerKeyCap)
+      .where(col("__rn") <= RowsPerKeyCap)
 
     val collected = capped.collect()
     val byTable = collected.groupBy(_.getString(0))
@@ -89,43 +91,20 @@ object MatrixTraversal {
   private def mergeCodes(a: CodeRow, b: CodeRow): CodeRow =
     a.indices.map(i => if (a(i) != 0) a(i) else b(i)).toVector
 
-  private[discovery] def rowScore(r: CodeRow): Int =
-    r.count(_ == 1) - r.count(_ == -1)
-
   /** Combine the aligned rows of one key: merge compatible pairs to a
     * fixpoint, keep {1,−1} conflicts separate.
     */
   private[discovery] def combineRows(
-      l1: Seq[CodeRow], l2: Seq[CodeRow], cap: Int): Seq[CodeRow] = {
-    val cur = (l1 ++ l2).distinct.toBuffer
-    var changed = true
-    while (changed) {
-      changed = false
-      var i = 0
-      while (i < cur.length && !changed) {
-        var j = i + 1
-        while (j < cur.length && !changed) {
-          if (!conflict(cur(i), cur(j))) {
-            val m = mergeCodes(cur(i), cur(j))
-            if (m != cur(i) || m != cur(j)) {
-              cur.remove(j); cur.remove(i)
-              if (!cur.contains(m)) cur.append(m)
-              changed = true
-            }
-          }
-          j += 1
-        }
-        i += 1
-      }
-    }
-    cur.sortBy(r => -rowScore(r)).take(cap).toSeq
-  }
+      l1: Seq[CodeRow], l2: Seq[CodeRow], cap: Int): Seq[CodeRow] =
+    Operators.pairwiseFixpoint(l1 ++ l2) { (a, b) =>
+      if (conflict(a, b)) None else Some(mergeCodes(a, b))
+    }.sortBy(r => -Similarity.score(r)).take(cap)
 
-  def combine(a: Matrix, b: Matrix, cfg: Config = Config()): Matrix = {
+  def combine(a: Matrix, b: Matrix): Matrix = {
     val keys = a.rows.keySet ++ b.rows.keySet
     Matrix(keys.iterator.map { k =>
       (a.rows.get(k), b.rows.get(k)) match {
-        case (Some(x), Some(y)) => k -> combineRows(x, y, cfg.rowsPerKeyCombinedCap)
+        case (Some(x), Some(y)) => k -> combineRows(x, y, RowsPerKeyCombinedCap)
         case (Some(x), None)    => k -> x
         case (None, Some(y))    => k -> y
         case _                  => k -> Seq.empty
@@ -136,14 +115,8 @@ object MatrixTraversal {
   /** Simulated EIS of a matrix (evaluateSimilarity of Algorithm 1):
     * per source tuple the best aligned row's (α−δ); missing keys add 0.
     */
-  def evaluate(m: Matrix, nSourceRows: Long, nNonKey: Int): Double = {
-    if (nSourceRows == 0) return 1.0
-    val n = math.max(1, nNonKey)
-    val sum = m.rows.valuesIterator.map { rs =>
-      if (rs.isEmpty) 0.0 else 1.0 + rs.map(rowScore).max.toDouble / n
-    }.sum
-    0.5 * sum / nSourceRows
-  }
+  def evaluate(m: Matrix, nSourceRows: Long, nNonKey: Int): Double =
+    Similarity.eis(Similarity.termSum(m.rows.values, nNonKey), nNonKey, nSourceRows)
 
   /** Algorithm 1: greedy matrix traversal → originating table names (in
     * pick order). Strict improvement required to continue.
@@ -151,8 +124,7 @@ object MatrixTraversal {
   def traverse(
       matrices: Map[String, Matrix],
       nSourceRows: Long,
-      nNonKey: Int,
-      cfg: Config = Config()): Seq[String] = {
+      nNonKey: Int): Seq[String] = {
     if (matrices.isEmpty) return Seq.empty
     val eps = 1e-12
     val start = matrices.maxBy { case (n, m) => (evaluate(m, nSourceRows, nNonKey), n) }
@@ -165,7 +137,7 @@ object MatrixTraversal {
       val candidates = matrices.view.filterKeys(k => !orig.contains(k)).toMap
       if (candidates.nonEmpty) {
         val scored = candidates.map { case (name, m) =>
-          val c = combine(current, m, cfg)
+          val c = combine(current, m)
           (name, c, evaluate(c, nSourceRows, nNonKey))
         }
         val (bn, bm, bs) = scored.maxBy { case (n, _, s) => (s, n) }

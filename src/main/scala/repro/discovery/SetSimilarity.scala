@@ -287,11 +287,6 @@ object SetSimilarity {
 
     val ranked = tableScores.toSeq.sortBy { case (t, s) => (-s, t) }.map(_._1)
 
-    if (sys.props.contains("repro.debug.setsim")) {
-      Console.err.println(s"DBG ranked=$ranked")
-      ranked.foreach(t => Console.err.println(s"DBG map $t -> ${mappings(t)}"))
-    }
-
     // --- Aligned-tuple verification (Algorithm 3, lines 11–14): walk the
     // ranked list, verifying (and repairing) each candidate's mapping,
     // until enough candidates survive. Junk candidates whose high set

@@ -49,12 +49,7 @@ object Harness {
     MethodSpec("Gen-T", "gen-t", intSet = false),
   )
 
-  final case class RunConfig(
-      genT: GenT.Config = GenT.Config(),
-      alite: Alite.Config = Alite.Config(),
-      autoPipeline: AutoPipelineStar.Config = AutoPipelineStar.Config(),
-      ver: Ver.Config = Ver.Config(),
-      excludeSelf: Boolean = false)
+  final case class RunConfig(excludeSelf: Boolean = false)
 
   final case class SourceRun(
       source: String,
@@ -100,7 +95,7 @@ object Harness {
 
       // One Set Similarity pass shared by every non-int-set method.
       val (candidates, discMillis) = time {
-        SetSimilarity.findCandidates(repo, idx, source, spark, cfg.genT.setSim)
+        SetSimilarity.findCandidates(repo, idx, source, spark)
       }
       lazy val candidateDfs =
         candidates.map(c => SetSimilarity.renamed(repo, c))
@@ -114,12 +109,12 @@ object Harness {
         val (outOpt, ms) = time {
           m.algo match {
             case "gen-t" =>
-              val r = GenT.reclaimFromCandidates(repo, candidates, source, spark, cfg.genT)
+              val r = GenT.reclaimFromCandidates(repo, candidates, source, spark)
               Some(r.reclaimed)
-            case "alite" => Alite.run(inputs, cfg.alite)
-            case "alite-ps" => Alite.runPs(inputs, source, cfg.alite)
-            case "autopipeline" => AutoPipelineStar.run(inputs, source, spark, cfg.autoPipeline)
-            case "ver" => Ver.run(inputs, source, spark, cfg.ver)
+            case "alite" => Alite.run(inputs)
+            case "alite-ps" => Alite.runPs(inputs, source)
+            case "autopipeline" => AutoPipelineStar.run(inputs, source, spark)
+            case "ver" => Ver.run(inputs, source, spark)
             case other => sys.error(s"unknown algo $other")
           }
         }
@@ -135,21 +130,25 @@ object Harness {
     }
   }
 
+  /** `kl` averages the completed runs whose D_KL is defined; `noKey`
+    * counts the completed runs whose output shares no key with the source.
+    */
   final case class Agg(
       method: String,
       completed: Int,
       timeouts: Int,
       perfect: Int,
-      rec: Double, pre: Double, instDiv: Double, kl: Double,
+      rec: Double, pre: Double, instDiv: Double, kl: Double, noKey: Int,
       avgMillis: Double, avgSizeRatio: Double)
 
   def aggregate(runs: Seq[SourceRun]): Seq[Agg] = {
+    def mean(xs: Seq[Double]): Double = if (xs.isEmpty) Double.NaN else xs.sum / xs.size
     runs.groupBy(_.method).toSeq.sortBy(_._1).map { case (m, rs) =>
       val ok = rs.flatMap(_.scores)
-      def avg(f: Metrics.Scores => Double): Double =
-        if (ok.isEmpty) Double.NaN else ok.map(f).sum / ok.size
+      def avg(f: Metrics.Scores => Double): Double = mean(ok.map(f))
       Agg(m, ok.size, rs.size - ok.size, ok.count(_.perfect),
-        avg(_.recall), avg(_.precision), avg(_.instDiv), avg(_.kl),
+        avg(_.recall), avg(_.precision), avg(_.instDiv), mean(ok.flatMap(_.kl)),
+        ok.count(_.kl.isEmpty),
         rs.map(_.millis.toDouble).sum / math.max(1, rs.size),
         avg(_.sizeRatio))
     }
@@ -158,12 +157,12 @@ object Harness {
   /** Format aggregates as a paper-style table (one row per method). */
   def format(title: String, aggs: Seq[Agg], order: Seq[String]): String = {
     val hdr = f"${"Method"}%-28s ${"Rec"}%7s ${"Pre"}%7s ${"Inst-Div"}%9s ${"D_KL"}%9s " +
-      f"${"#perf"}%6s ${"#to"}%4s ${"avg_ms"}%9s ${"out/src"}%8s"
+      f"${"#nokey"}%6s ${"#perf"}%6s ${"#to"}%4s ${"avg_ms"}%9s ${"out/src"}%8s"
     val rows = order.flatMap(m => aggs.find(_.method == m)).map { a =>
       def d(x: Double): String = if (x.isNaN) "   —" else f"$x%7.3f"
       f"${a.method}%-28s ${d(a.rec)}%7s ${d(a.pre)}%7s ${d(a.instDiv)}%9s " +
         (if (a.kl.isNaN) f"${"—"}%9s" else f"${a.kl}%9.3f") +
-        f" ${a.perfect}%6d ${a.timeouts}%4d ${a.avgMillis}%9.0f " +
+        f" ${a.noKey}%6d ${a.perfect}%6d ${a.timeouts}%4d ${a.avgMillis}%9.0f " +
         (if (a.avgSizeRatio.isNaN) f"${"—"}%8s" else f"${a.avgSizeRatio}%8.1f")
     }
     (s"=== $title ===" +: hdr +: rows).mkString("\n")

@@ -51,6 +51,14 @@ class GenTSpec extends SparkSpec {
     assert(r.reclaimed.count() == 0 && r.originating.isEmpty)
   }
 
+  test("Gen-T leaves no cached RDD behind") {
+    source.df.count(); index.count()
+    val before = spark.sparkContext.getPersistentRDDs.size
+    val r = GenT.reclaim(repo, index, source, spark)
+    r.reclaimed.collect()
+    assert(spark.sparkContext.getPersistentRDDs.size == before)
+  }
+
   test("Gen-T result reports candidates and timing") {
     val r = GenT.reclaim(repo, index, source, spark)
     assert(r.candidates.nonEmpty)

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.{Fixtures, SparkSpec}
 import repro.discovery.Expand
 import repro.lake.SourceTable
@@ -21,36 +22,50 @@ class IntegrationSpec extends SparkSpec {
     Expand.expandAll(names.map(n => n -> all(n)), source, w)
   }
 
+  private val cols = Seq("ID", "Name", "Age", "Gender", "Education")
+  private val keyIdx = Seq(0)
+  private lazy val srcRows = Operators.collectRows(source.df)
+  private def srcRow(id: String) = srcRows.find(_.head == id).get
+
+  /** A table's rows padded to the source schema, each labeled against
+    * its source tuple (only the columns the table has).
+    */
+  private def labeledRows(t: DataFrame) = {
+    val present = cols.indices.filter(i => t.columns.contains(cols(i))).toSet
+    Operators.collectRows(Operators.padToSourceSchema(t, source))
+      .map(r => Integration.labelNulls(r, srcRow(r.head), cols, keyIdx, present))
+  }
+
   test("labeledSource replaces nulls with deterministic tokens") {
-    val lab = Integration.labeledSource(source)
-    val smith = lab.df.filter(lab.df("ID") === "0").collect()(0)
-    val g = smith.getString(smith.fieldIndex("Gender"))
+    val smith = Integration.labelSource(srcRow("0"), cols, keyIdx)
+    val g = smith(cols.indexOf("Gender"))
     assert(g != null && g.startsWith(Integration.NullLabelPrefix))
     // Non-null cells unchanged.
-    assert(smith.getString(smith.fieldIndex("Name")) == "Smith")
+    assert(smith(cols.indexOf("Name")) == "Smith")
   }
 
   test("labelNulls labels only cells null in BOTH table and source") {
     val a = Fixtures.tableA(spark) // Brown's Education is null; S has Masters
-    val lab = Integration.labelNulls(a, source)
-    val brown = lab.filter(lab("Name") === "Brown").collect()(0)
+    val brown = labeledRows(a).find(_(1) == "Brown").get
     // S has Masters there → stays a real null (so κ can fill it later).
-    assert(brown.getString(brown.fieldIndex("Education")) == null)
+    assert(brown(cols.indexOf("Education")) == null)
+    // Columns A lacks stay real nulls even where S is null (Smith's Gender).
+    assert(labeledRows(a).find(_(1) == "Smith").get(cols.indexOf("Gender")) == null)
   }
 
   test("labelNulls labels a shared null so it cannot be over-combined") {
     val d = Expand.joinCoalesce(Fixtures.tableD(spark), Fixtures.tableA(spark), "Name")
-    val lab = Integration.labelNulls(d, source)
-    val smith = lab.filter(lab("Name") === "Smith").collect()(0)
-    val g = smith.getString(smith.fieldIndex("Gender"))
+    val smith = labeledRows(d).find(_(1) == "Smith").get
+    val g = smith(cols.indexOf("Gender"))
     // D's Smith Gender is null and S's is null → labeled.
     assert(g != null && g.startsWith(Integration.NullLabelPrefix))
+    // And it is the token the labeled source carries.
+    assert(g == Integration.labelSource(srcRow("0"), cols, keyIdx)(cols.indexOf("Gender")))
   }
 
   test("removeLabeledNulls restores nulls and only nulls") {
-    val lab = Integration.labeledSource(source)
-    val back = Integration.removeLabeledNulls(lab.df)
-    assert(back.collect().toSet == source.df.collect().toSet)
+    val back = srcRows.map(s => Integration.removeLabeledNulls(Integration.labelSource(s, cols, keyIdx)))
+    assert(back == srcRows)
   }
 
   test("integrating A, B, D reclaims the Figure 3 source exactly") {
@@ -95,5 +110,19 @@ class IntegrationSpec extends SparkSpec {
     val out = Integration.integrate(Seq(tGood, tOver), src)
     val rows = out.collect().map(r => (r.getString(0), r.getString(1), r.getString(2))).toSet
     assert(rows.contains(("1", "x", null)), s"got $rows")
+  }
+
+  test("κ that leaves EIS unchanged is still applied (EIS >= rule)") {
+    // Source (1, x, y). T1 reclaims it; T2 = (1, q, ⊥) and T3 = (1, ⊥, r)
+    // complement each other and both contradict it. Merging them keeps the
+    // best tuple, so EIS ties and κ must run: (1, q, r) replaces them.
+    val src = SourceTable("s",
+      Fixtures.stringDf(spark, Seq("k", "a", "b"), Seq(Seq("1", "x", "y"))), Seq("k"))
+    val t1 = Fixtures.stringDf(spark, Seq("k", "a", "b"), Seq(Seq("1", "x", "y")))
+    val t2 = Fixtures.stringDf(spark, Seq("k", "a"), Seq(Seq("1", "q")))
+    val t3 = Fixtures.stringDf(spark, Seq("k", "b"), Seq(Seq("1", "r")))
+    val out = Integration.integrate(Seq(t1, t2, t3), src)
+    val rows = out.collect().map(r => (r.getString(0), r.getString(1), r.getString(2))).toSet
+    assert(rows == Set(("1", "x", "y"), ("1", "q", "r")), s"got $rows")
   }
 }

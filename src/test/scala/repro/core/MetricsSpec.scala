@@ -13,7 +13,7 @@ class MetricsSpec extends SparkSpec {
     val s = Metrics.all(source.df, source)
     assert(s.recall == 1.0 && s.precision == 1.0)
     assert(s.perfect)
-    assert(math.abs(s.kl) < 1e-9)
+    assert(math.abs(s.kl.get) < 1e-9)
   }
 
   test("recall counts exact tuple matches only") {
@@ -80,11 +80,12 @@ class MetricsSpec extends SparkSpec {
       Metrics.conditionalKl(variant(N), source))
   }
 
-  test("KL reports the no-keys sentinel when nothing aligns") {
+  test("KL is undefined (None) when nothing aligns") {
     val nothing = Fixtures.stringDf(spark,
       Seq("ID", "Name", "Age", "Gender", "Education"),
       Seq(Seq("42", "Zed", "1", "M", "PhD")))
-    assert(Metrics.conditionalKl(nothing, source) == Metrics.KlNoKeys)
+    assert(Metrics.all(nothing, source).kl.isEmpty)
+    assert(Metrics.conditionalKl(nothing, source).isNaN)
   }
 
   test("KL grows as fewer source keys are covered (Q(K) division)") {

@@ -1,10 +1,14 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.Prop.propBoolean
 import repro.{Fixtures, SparkSpec}
+import repro.discovery.{Expand, MatrixTraversal}
+import repro.lake.SourceTable
 
 /** Property-based checks of the pairwise tuple operators (driver-side
-  * closures shared by β, κ, and the FD substrate). Raw ScalaCheck is used
+  * closures shared by β, κ, and the FD substrate) and of the alignment
+  * kernel against Matrix Traversal's Spark coding. Raw ScalaCheck is used
   * (scalatestplus is not among the offline deps).
   */
 class OperatorsPropSpec extends SparkSpec {
@@ -79,16 +83,28 @@ class OperatorsPropSpec extends SparkSpec {
     })
   }
 
-  test("Spark subsumption agrees with the in-memory group closure") {
-    check(Prop.forAll(rows(2)) { rs =>
-      val withKey = rs.map("K" +: _)
-      if (withKey.isEmpty) true
-      else {
-        val df = Fixtures.stringDf(spark, Seq("k", "x", "y"), withKey)
-        val out = Operators.subsumption(df, Seq("k")).collect()
-          .map(r => Seq(r.getString(1), r.getString(2))).toSet
-        out == Operators.subsumeGroup(rs.map(_.toList)).map(_.toSeq).toSet
-      }
+  // Codes vs values: Matrix Traversal codes cells with Spark `when`
+  // expressions, Similarity with the driver-side kernel. Below the
+  // per-key row cap both must give the same EIS.
+  private val keyedCase: Gen[(Seq[Seq[String]], Seq[String], Seq[Seq[String]])] = for {
+    nSrc <- Gen.choose(1, 4)
+    src <- Gen.listOfN(nSrc, row(2))
+    tCols <- Gen.oneOf(Seq("x", "y"), Seq("x"), Seq("y"))
+    nT <- Gen.choose(0, 6)
+    t <- Gen.listOfN(nT, for {
+      k <- Gen.choose(0, nSrc) // nSrc: a key the source lacks
+      r <- row(tCols.size)
+    } yield s"K$k" +: r)
+  } yield (src.zipWithIndex.map { case (r, i) => s"K$i" +: r }, tCols, t)
+
+  test("matrix-simulated EIS equals Similarity.eis on random keyed tables") {
+    check(Prop.forAll(keyedCase) { case (srcRows, tCols, tRows) =>
+      val source = SourceTable("s", Fixtures.stringDf(spark, Seq("k", "x", "y"), srcRows), Seq("k"))
+      val t = Fixtures.stringDf(spark, "k" +: tCols, tRows)
+      val m = MatrixTraversal.initMatrices(Seq(Expand.Expanded("t", t, Seq("t"))), source)("t")
+      val simulated = MatrixTraversal.evaluate(m, srcRows.size, 2)
+      val eis = Similarity.eis(t, source)
+      (math.abs(simulated - eis) < 1e-12) :| s"matrix $simulated vs kernel $eis"
     }, min = 12)
   }
 }

@@ -1,11 +1,13 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Fixtures, Oracle, SparkSpec}
 import repro.lake.SourceTable
 
 /** Integration operators (§IV-B) + Theorem 8's representative-operator
-  * lemmas, checked against DuckDB via the Oracle.
+  * lemmas, checked against DuckDB via the Oracle. β and κ run on
+  * driver-side rows grouped by key, as in Integration.
   */
 class OperatorsSpec extends SparkSpec {
 
@@ -87,73 +89,57 @@ class OperatorsSpec extends SparkSpec {
 
   // -------------------------------------------------- subsumption
 
+  /** β / κ / minimal form on in-memory rows, grouped by the key in column 0. */
+  private def beta(rows: Seq[Seq[String]]) = Operators.perKey(rows, Seq(0))(Operators.subsumeGroup)
+  private def kappa(rows: Seq[Seq[String]]) = Operators.perKey(rows, Seq(0))(Operators.complementGroup)
+
   test("subsumption removes a strictly-less-informative tuple") {
-    val t = df(Seq("k", "a", "b"),
-      Seq(Seq("1", "x", "y"), Seq("1", "x", N), Seq("1", N, N)))
-    val out = Operators.subsumption(t, Seq("k")).collect()
-    assert(out.length == 1)
-    assert(out(0).getString(1) == "x" && out(0).getString(2) == "y")
+    val out = beta(Seq(Seq("1", "x", "y"), Seq("1", "x", N), Seq("1", N, N)))
+    assert(out == Seq(Seq("1", "x", "y")))
   }
 
   test("subsumption keeps contradicting tuples apart") {
-    val t = df(Seq("k", "a"), Seq(Seq("1", "x"), Seq("1", "z")))
-    assert(Operators.subsumption(t, Seq("k")).count() == 2)
+    assert(beta(Seq(Seq("1", "x"), Seq("1", "z"))).size == 2)
   }
 
   test("subsumption never merges across different keys") {
-    val t = df(Seq("k", "a"), Seq(Seq("1", "x"), Seq("2", N)))
-    assert(Operators.subsumption(t, Seq("k")).count() == 2)
+    assert(beta(Seq(Seq("1", "x"), Seq("2", N))).size == 2)
   }
 
   test("subsumption is idempotent") {
-    val t = df(Seq("k", "a", "b"),
-      Seq(Seq("1", "x", N), Seq("1", N, "y"), Seq("2", "p", "q"), Seq("2", "p", "q")))
-    val once = Operators.subsumption(t, Seq("k"))
-    val twice = Operators.subsumption(once, Seq("k"))
-    assert(once.collect().toSet == twice.collect().toSet)
+    val once = beta(Seq(Seq("1", "x", N), Seq("1", N, "y"), Seq("2", "p", "q"), Seq("2", "p", "q")))
+    assert(beta(once).toSet == once.toSet)
   }
 
   test("subsumption deduplicates identical tuples") {
-    val t = df(Seq("k", "a"), Seq(Seq("1", "x"), Seq("1", "x")))
-    assert(Operators.subsumption(t, Seq("k")).count() == 1)
+    assert(beta(Seq(Seq("1", "x"), Seq("1", "x"))).size == 1)
   }
 
   // -------------------------------------------------- complementation
 
   test("complementation merges two complementary tuples") {
-    val t = df(Seq("k", "a", "b"), Seq(Seq("1", "x", N), Seq("1", N, "y")))
-    val out = Operators.complementation(t, Seq("k")).collect()
-    assert(out.length == 1)
-    assert(out(0).getString(1) == "x" && out(0).getString(2) == "y")
+    assert(kappa(Seq(Seq("1", "x", N), Seq("1", N, "y"))) == Seq(Seq("1", "x", "y")))
   }
 
   test("complementation leaves contradicting tuples apart") {
-    val t = df(Seq("k", "a", "b"),
-      Seq(Seq("1", "x", "u"), Seq("1", "z", N)))
-    assert(Operators.complementation(t, Seq("k")).count() == 2)
+    assert(kappa(Seq(Seq("1", "x", "u"), Seq("1", "z", N))).size == 2)
   }
 
   test("complementation chains through a fixpoint") {
-    val t = df(Seq("k", "a", "b", "c"),
-      Seq(Seq("1", "x", N, N), Seq("1", N, "y", N), Seq("1", N, N, "z")))
-    val out = Operators.complementation(t, Seq("k")).collect()
-    assert(out.length == 1)
-    assert((1 to 3).map(out(0).getString) == Seq("x", "y", "z"))
+    val out = kappa(Seq(Seq("1", "x", N, N), Seq("1", N, "y", N), Seq("1", N, N, "z")))
+    assert(out == Seq(Seq("1", "x", "y", "z")))
   }
 
   test("complementation does not merge tuples of different keys") {
-    val t = df(Seq("k", "a", "b"), Seq(Seq("1", "x", N), Seq("2", N, "y")))
-    assert(Operators.complementation(t, Seq("k")).count() == 2)
+    assert(kappa(Seq(Seq("1", "x", N), Seq("2", N, "y"))).size == 2)
   }
 
   // -------------------------------------------------- minimal form
 
   test("minimalForm = dedupe + β + κ") {
-    val t = df(Seq("k", "a", "b"),
+    val out = Operators.minimalForm(
       Seq(Seq("1", "x", N), Seq("1", "x", N), Seq("1", N, "y"), Seq("1", "x", "y")))
-    val out = Operators.minimalForm(t, Seq("k")).collect()
-    assert(out.length == 1)
-    assert(out(0).getString(1) == "x" && out(0).getString(2) == "y")
+    assert(out == Seq(Seq("1", "x", "y")))
   }
 
   test("padToSourceSchema adds missing columns as nulls in source order") {
@@ -172,12 +158,20 @@ class OperatorsSpec extends SparkSpec {
   private val t2 = df(Seq("k", "b"),
     Seq(Seq("2", "b2"), Seq("3", "b3"), Seq("4", "b4")))
 
+  /** Run a key-grouped operator (key `k`) on a small DataFrame via the
+    * driver-side rows, as Integration does.
+    */
+  private def perKeyDf(df: DataFrame)(op: Seq[Seq[String]] => Seq[Seq[String]]): DataFrame =
+    Operators.localDf(spark, df.columns.toIndexedSeq,
+      Operators.perKey(Operators.collectRows(df), Seq(df.columns.indexOf("k")))(op))
+  private def subsumption(df: DataFrame) = perKeyDf(df)(Operators.subsumeGroup)
+  private def complementation(df: DataFrame) = perKeyDf(df)(Operators.complementGroup)
+
   /** σ(T1.C = T2.C ≠ ⊥, β(κ(T1 ⊎ T2))) — Lemma 12's right-hand side,
     * built from our operators (κ, β grouped on the shared column).
     */
   private def lemma12Rhs = {
-    val merged = Operators.subsumption(
-      Operators.complementation(Operators.outerUnion(t1, t2), Seq("k")), Seq("k"))
+    val merged = subsumption(complementation(Operators.outerUnion(t1, t2)))
     merged.where(col("a").isNotNull && col("b").isNotNull)
   }
 
@@ -189,7 +183,7 @@ class OperatorsSpec extends SparkSpec {
   }
 
   test("Lemma 13: left join ≡ β((T1 ⋈ T2) ⊎ T1) — against DuckDB") {
-    val lhs = Operators.subsumption(Operators.outerUnion(lemma12Rhs, t1), Seq("k"))
+    val lhs = subsumption(Operators.outerUnion(lemma12Rhs, t1))
     Oracle.assertEquivalent(
       lhs.select(col("k"), col("a"), col("b")),
       "SELECT t1.k AS k, a, b FROM t1 LEFT JOIN t2 ON t1.k = t2.k",
@@ -197,8 +191,8 @@ class OperatorsSpec extends SparkSpec {
   }
 
   test("Lemma 14: full outer join ≡ β(β((T1 ⋈ T2) ⊎ T1) ⊎ T2) — against DuckDB") {
-    val left = Operators.subsumption(Operators.outerUnion(lemma12Rhs, t1), Seq("k"))
-    val full = Operators.subsumption(Operators.outerUnion(left, t2), Seq("k"))
+    val left = subsumption(Operators.outerUnion(lemma12Rhs, t1))
+    val full = subsumption(Operators.outerUnion(left, t2))
     Oracle.assertEquivalent(
       full.select(col("k"), col("a"), col("b")),
       "SELECT COALESCE(t1.k, t2.k) AS k, a, b FROM t1 FULL JOIN t2 ON t1.k = t2.k",

@@ -47,8 +47,8 @@ class HarnessSpec extends SparkSpec {
 
   test("aggregate averages over completed runs and counts timeouts/perfects") {
     val runs = Seq(
-      Harness.SourceRun("s1", "M", Some(Metrics.Scores(1, 1, 0, 0, 1, 10, 10)), 5),
-      Harness.SourceRun("s2", "M", Some(Metrics.Scores(0.5, 0.5, 0.1, 2, 0.7, 30, 10)), 15),
+      Harness.SourceRun("s1", "M", Some(Metrics.Scores(1, 1, 0, Some(0), 1, 10, 10)), 5),
+      Harness.SourceRun("s2", "M", Some(Metrics.Scores(0.5, 0.5, 0.1, Some(2), 0.7, 30, 10)), 15),
       Harness.SourceRun("s3", "M", None, 100))
     val agg = Harness.aggregate(runs)
     assert(agg.size == 1)
@@ -58,6 +58,18 @@ class HarnessSpec extends SparkSpec {
     assert(math.abs(a.avgMillis - 40.0) < 1e-9)
   }
 
+  test("aggregate averages D_KL over defined values and counts key-less runs") {
+    val runs = Seq(
+      Harness.SourceRun("s1", "M", Some(Metrics.Scores(1, 1, 0, Some(1), 1, 10, 10)), 5),
+      Harness.SourceRun("s2", "M", Some(Metrics.Scores(0.5, 0.5, 0.1, Some(3), 0.7, 30, 10)), 15),
+      Harness.SourceRun("s3", "M", Some(Metrics.Scores(0, 0, 1, None, 0, 10, 10)), 15))
+    val a = Harness.aggregate(runs).head
+    assert(a.completed == 3 && a.noKey == 1)
+    assert(math.abs(a.kl - 2.0) < 1e-9)
+    val row = Harness.format("T", Seq(a), Seq("M")).linesIterator.toSeq(2)
+    assert(row.contains("2.000") && !row.contains("1000000"))
+  }
+
   test("aggregate of all-timeout method yields NaN metrics") {
     val agg = Harness.aggregate(Seq(Harness.SourceRun("s", "M", None, 3)))
     assert(agg.head.rec.isNaN)
@@ -65,7 +77,7 @@ class HarnessSpec extends SparkSpec {
 
   test("format renders one row per requested method in order") {
     val aggs = Harness.aggregate(Seq(
-      Harness.SourceRun("s", "Gen-T", Some(Metrics.Scores(1, 1, 0, 0, 1, 10, 10)), 5),
+      Harness.SourceRun("s", "Gen-T", Some(Metrics.Scores(1, 1, 0, Some(0), 1, 10, 10)), 5),
       Harness.SourceRun("s", "ALITE", None, 7)))
     val out = Harness.format("Test Table", aggs, Seq("ALITE", "Gen-T"))
     val lines = out.linesIterator.toSeq
